@@ -22,6 +22,7 @@ use caribou_model::plan::DeploymentPlan;
 use caribou_model::rng::Pcg32;
 use caribou_simcloud::orchestration::Orchestrator;
 use caribou_solver::context::SolverContext;
+use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
 use caribou_workloads::benchmarks::{all_benchmarks, InputSize};
 
@@ -67,7 +68,12 @@ fn main() {
                 mc_config: mc_config(),
             };
             HbssSolver::new()
-                .solve(&ctx, hour, &mut Pcg32::seed(seed))
+                .solve_with(
+                    &EvalEngine::new(seed, 1),
+                    &ctx,
+                    hour,
+                    &mut Pcg32::seed(seed),
+                )
                 .best
         };
         let plan_aci = solve_with(&env.carbon, 1);

@@ -23,6 +23,7 @@ use caribou_model::rng::Pcg32;
 use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::orchestration::Orchestrator;
 use caribou_solver::context::SolverContext;
+use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
 use caribou_workloads::benchmarks::{all_benchmarks, Benchmark, InputSize};
 
@@ -98,7 +99,7 @@ fn eval_strategy(
             mc_config: mc,
         };
         let plan = HbssSolver::new()
-            .solve(&ctx, h, &mut rng.fork(h as u64))
+            .solve_with(&EvalEngine::new(seed, 1), &ctx, h, &mut rng.fork(h as u64))
             .best;
         let est = MonteCarloEstimator {
             dag: &bench.dag,

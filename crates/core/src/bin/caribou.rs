@@ -27,7 +27,7 @@ use caribou_carbon::error::CarbonError;
 use caribou_carbon::source::{CarbonDataSource, ForecastingSource, RegionalSource};
 use caribou_carbon::synth::SyntheticCarbonSource;
 use caribou_core::framework::{Caribou, CaribouConfig};
-use caribou_core::loadgen::{run_loadgen, LoadgenConfig, LoadgenMode};
+use caribou_core::loadgen::{run_loadgen, LoadgenConfig};
 use caribou_exec::engine::WorkflowApp;
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
 use caribou_metrics::costmodel::CostModel;
@@ -65,7 +65,7 @@ USAGE:
                      [--providers aws[,gcp]]
     caribou loadgen <benchmark> [--invocations N] [--seed S] [--workers N]
                     [--arrival poisson|diurnal|bursty] [--rate PER_S]
-                    [--shards N] [--chunked] [--no-warm-pool] [--keep-alive-s S]
+                    [--shards N] [--no-warm-pool] [--keep-alive-s S]
                     [--input small|large] [--worst-case] [--telemetry <out.jsonl>]
     caribou chaos [--seed N] [--requests N] [--duration-s S] [--drop P]
                   [--no-breaker] [--seeds K] [--workers N] [--json]
@@ -202,6 +202,27 @@ fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 
 fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
+}
+
+/// Parses an optional `f64` flag, falling back to `default`. A value that
+/// fails `valid` (which must also reject NaN) is a typed `<name>: must be
+/// <what>` error here, never a panic or a nonsensical run later on.
+fn f64_flag(
+    args: &[String],
+    name: &str,
+    default: f64,
+    what: &str,
+    valid: fn(f64) -> bool,
+) -> Result<f64, String> {
+    let Some(v) = flag(args, name) else {
+        return Ok(default);
+    };
+    let x: f64 = v.parse().map_err(|e| format!("{name}: {e}"))?;
+    if valid(x) {
+        Ok(x)
+    } else {
+        Err(format!("{name}: must be {what}"))
+    }
 }
 
 /// Parses `--workers N` (default 1); results never depend on the value.
@@ -378,10 +399,7 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         .first()
         .ok_or("usage: caribou plan <benchmark> [...]")?;
     let input = input_size(args)?;
-    let hour: f64 = flag(args, "--hour")
-        .map(|v| v.parse().map_err(|e| format!("--hour: {e}")))
-        .transpose()?
-        .unwrap_or(12.5);
+    let hour = f64_flag(args, "--hour", 12.5, "a finite number", f64::is_finite)?;
     let bench = find_benchmark(name, input)?;
 
     let pset = providers(args)?;
@@ -418,18 +436,19 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         models: &models,
         mc_config: MonteCarloConfig::default(),
     };
+    // Both solves run through the deterministic evaluation engine, so
+    // stdout is bit-identical at any --workers value (pool and cache
+    // statistics go to stderr), which scripts/check.sh exploits to
+    // smoke-test solver determinism.
+    let engine = EvalEngine::new(7, workers(args)?);
     if has_flag(args, "--hourly") {
-        // Full 24-hour schedule through the deterministic evaluation
-        // engine: stdout is bit-identical at any --workers value (pool and
-        // cache statistics go to stderr), which scripts/check.sh exploits
-        // to smoke-test solver determinism. With --contingency K the
-        // schedule prefix stays byte-identical (the primary solve consumes
-        // the same RNG prefix) and K ranked fallback entries are appended.
+        // Full 24-hour schedule. With --contingency K the schedule prefix
+        // stays byte-identical (the primary solve consumes the same RNG
+        // prefix) and K ranked fallback entries are appended.
         let k: usize = flag(args, "--contingency")
             .map(|v| v.parse().map_err(|e| format!("--contingency: {e}")))
             .transpose()?
             .unwrap_or(0);
-        let engine = EvalEngine::new(7, workers(args)?);
         let solver = HbssSolver::new();
         let mut rng = Pcg32::seed(7);
         let (plans, table) = if k > 0 {
@@ -495,7 +514,7 @@ fn cmd_plan(args: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    let outcome = HbssSolver::new().solve(&ctx, hour, &mut Pcg32::seed(7));
+    let outcome = HbssSolver::new().solve_with(&engine, &ctx, hour, &mut Pcg32::seed(7));
     println!(
         "deployment plan for `{}` ({} input) at hour {hour}:",
         bench.name,
@@ -530,14 +549,13 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
         .first()
         .ok_or("usage: caribou simulate <benchmark> [...]")?;
     let input = input_size(args)?;
-    let days: f64 = flag(args, "--days")
-        .map(|v| v.parse().map_err(|e| format!("--days: {e}")))
-        .transpose()?
-        .unwrap_or(2.0);
-    let per_day: f64 = flag(args, "--per-day")
-        .map(|v| v.parse().map_err(|e| format!("--per-day: {e}")))
-        .transpose()?
-        .unwrap_or(1500.0);
+    // The trace starts 30 s in, so the window must be longer than that.
+    let days = f64_flag(args, "--days", 2.0, "finite and longer than 30 s", |d| {
+        d.is_finite() && d * 86_400.0 > 30.0
+    })?;
+    let per_day = f64_flag(args, "--per-day", 1500.0, "positive and finite", |r| {
+        r.is_finite() && r > 0.0
+    })?;
     let bench = find_benchmark(name, input)?;
 
     let pset = providers(args)?;
@@ -669,15 +687,13 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
     if shards == 0 {
         return Err("--shards: must be at least 1".into());
     }
-    let keep_alive_s: f64 = flag(args, "--keep-alive-s")
-        .map(|v| v.parse().map_err(|e| format!("--keep-alive-s: {e}")))
-        .transpose()?
-        .unwrap_or(caribou_simcloud::warm::DEFAULT_KEEP_ALIVE_S);
-    let mode = if has_flag(args, "--chunked") {
-        LoadgenMode::Chunked
-    } else {
-        LoadgenMode::Persistent
-    };
+    let keep_alive_s = f64_flag(
+        args,
+        "--keep-alive-s",
+        caribou_simcloud::warm::DEFAULT_KEEP_ALIVE_S,
+        "non-negative and finite",
+        |s| s.is_finite() && s >= 0.0,
+    )?;
     let config = LoadgenConfig {
         invocations,
         seed,
@@ -685,7 +701,6 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
         shards,
         arrivals,
         scenario: scenario(args),
-        mode,
         warm_pool: !has_flag(args, "--no-warm-pool"),
         keep_alive_s,
         capture_latencies: false,
@@ -712,13 +727,10 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
     // count, so CI can diff a 1-worker run against an N-worker run.
     println!("benchmark:    {}", bench.dag.name());
     println!("arrival:      {:?}", config.arrivals);
-    match config.mode {
-        LoadgenMode::Persistent => println!(
-            "mode:         persistent ({} shards, {} chunks)",
-            report.shards, report.chunks
-        ),
-        LoadgenMode::Chunked => println!("mode:         chunked ({} chunks)", report.chunks),
-    }
+    println!(
+        "mode:         persistent ({} shards, {} chunks)",
+        report.shards, report.chunks
+    );
     println!("invocations:  {}", report.invocations());
     println!(
         "completed:    {} ({:.2}%)",
@@ -775,15 +787,20 @@ fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
     if let Some(v) = flag(args, "--requests") {
         config.requests = v.parse().map_err(|e| format!("--requests: {e}"))?;
     }
-    if let Some(v) = flag(args, "--duration-s") {
-        config.duration_s = v.parse().map_err(|e| format!("--duration-s: {e}"))?;
-    }
-    if let Some(v) = flag(args, "--drop") {
-        config.drop_prob = v.parse().map_err(|e| format!("--drop: {e}"))?;
-        if !(0.0..=1.0).contains(&config.drop_prob) {
-            return Err("--drop: probability must be in [0, 1]".into());
-        }
-    }
+    config.duration_s = f64_flag(
+        args,
+        "--duration-s",
+        config.duration_s,
+        "positive and finite",
+        |s| s.is_finite() && s > 0.0,
+    )?;
+    config.drop_prob = f64_flag(
+        args,
+        "--drop",
+        config.drop_prob,
+        "a probability in [0, 1]",
+        |p| (0.0..=1.0).contains(&p),
+    )?;
     config.breaker_enabled = !has_flag(args, "--no-breaker");
     config.providers = providers(args)?;
     if has_flag(args, "--correlated") {

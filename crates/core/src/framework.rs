@@ -24,8 +24,7 @@ use caribou_simcloud::orchestration::Orchestrator;
 use caribou_solver::context::SolverContext;
 use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::{HbssParams, HbssSolver};
-use caribou_solver::hourly::DayAveragedSource;
-use caribou_solver::pool;
+use caribou_solver::hourly::{solve_daily, solve_hourly_with};
 
 use crate::error::CoreError;
 use crate::manager::{CheckMetrics, DeploymentManager, ManagerConfig, SolveDecision};
@@ -528,60 +527,22 @@ impl<S: CarbonDataSource + Sync> Caribou<S> {
                 .seed();
             match decision {
                 SolveDecision::Hourly => {
-                    // One plan per hour-of-day for the next 24 hours,
-                    // fanned across the engine's worker pool. The per-step
-                    // walk rngs are pre-forked in order — exactly what the
-                    // sequential loop drew — so the schedule is
-                    // bit-identical at any worker count.
+                    // One plan per hour for the next 24 hours, fanned
+                    // across the engine's worker pool, then rotated into
+                    // hour-of-day order for the router's lookup.
                     let engine = EvalEngine::new(engine_seed, self.config.workers);
-                    let srngs: Vec<Pcg32> = (0..24).map(|step| srng.fork(step as u64)).collect();
-                    let (solved, stats) = pool::map_indexed(engine.workers(), 24, |step| {
-                        let abs_h = now_h + step as f64;
-                        let mut hrng = srngs[step].clone();
-                        solver
-                            .solve_with(&engine, &ctx, abs_h + 0.5, &mut hrng)
-                            .best
-                    });
-                    stats.emit();
-                    engine.flush_telemetry();
-                    // Index by hour-of-day so the router's lookup finds the
-                    // right plan.
-                    let mut per_hour: Vec<Option<DeploymentPlan>> = vec![None; 24];
-                    for (step, best) in solved.into_iter().enumerate() {
-                        let hod = ((now_h + step as f64) as usize) % 24;
-                        per_hour[hod] = Some(best);
-                    }
-                    let plans: Vec<DeploymentPlan> = per_hour
-                        .into_iter()
-                        .map(|p| p.expect("all 24 hours solved"))
-                        .collect();
+                    let solved =
+                        solve_hourly_with(&engine, &solver, &ctx, now_h, now_s, expires, &mut srng);
+                    let mut plans: Vec<DeploymentPlan> = solved.iter().cloned().collect();
+                    plans.rotate_right(now_h as usize % 24);
                     HourlyPlans::hourly(plans, now_s, expires)
                 }
                 SolveDecision::Daily => {
-                    let averaged = DayAveragedSource::new(&forecast, now_h);
-                    let day_ctx = SolverContext {
-                        dag,
-                        profile: &profile,
-                        permitted: &permitted,
-                        home,
-                        objective: state.constraints.objective,
-                        tolerances: state.constraints.tolerances,
-                        carbon_source: &averaged,
-                        carbon_model: CarbonModel::new(self.config.scenario),
-                        cost_model: CostModel::new(&self.cloud.pricing),
-                        models: &models,
-                        mc_config: self.config.mc,
-                    };
-                    // The day-averaged source answers the same hour keys
-                    // differently from the forecast, so the daily solve
-                    // gets its own engine rather than sharing a cache.
                     let day_engine = EvalEngine::new(
                         SeedSplitter::new(engine_seed).absorb(0xda11).seed(),
                         self.config.workers,
                     );
-                    let outcome = solver.solve_with(&day_engine, &day_ctx, now_h + 12.0, &mut srng);
-                    day_engine.flush_telemetry();
-                    HourlyPlans::daily(outcome.best, now_s, expires)
+                    solve_daily(&day_engine, &solver, &ctx, now_h, now_s, expires, &mut srng)
                 }
                 SolveDecision::Skip => unreachable!(),
             }

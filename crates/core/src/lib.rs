@@ -50,7 +50,7 @@ pub use fleet::{
     replan_incremental, solve_fleet, FleetConfig, FleetEnv, FleetReport, FleetSchedule,
 };
 pub use framework::{Caribou, CaribouConfig, RunReport};
-pub use loadgen::{run_loadgen, LoadReport, LoadgenConfig, LoadgenMode};
+pub use loadgen::{run_loadgen, LoadReport, LoadgenConfig};
 pub use manager::DeploymentManager;
 pub use migrator::{MigrationReport, Migrator};
 pub use tokens::TokenBucket;

@@ -1,22 +1,18 @@
 //! The sustained-load harness behind `caribou loadgen`.
 //!
 //! Drives a benchmark DAG with N open-loop invocations end-to-end through
-//! the simulated cloud and the execution engine. Two modes:
+//! the simulated cloud and the execution engine, on a fixed set of
+//! [`LoadgenConfig::shards`] persistent simulation shards — each a full
+//! [`SimCloud`] keeping its warm pools, KV/blob contents, meters, and
+//! breaker state for the whole run. Chunks of [`CHUNK_INVOCATIONS`]
+//! arrivals are dealt to shards round-robin; one round of chunks is a
+//! *tick*. At every tick boundary the shards exchange their journaled
+//! warm-pool touches in fixed shard order
+//! ([`caribou_simcloud::warm::WarmPool::drain_touches`] sorts by
+//! deployment key) and max-merge them, so container state converges
+//! across shards with at most one tick of visibility lag.
 //!
-//! * **Persistent** (default): a fixed set of [`LoadgenConfig::shards`]
-//!   long-lived simulation shards — each a full [`SimCloud`] keeping its
-//!   warm pools, KV/blob contents, meters, and breaker state for the
-//!   whole run. Chunks of [`CHUNK_INVOCATIONS`] arrivals are dealt to
-//!   shards round-robin; one round of chunks is a *tick*. At every tick
-//!   boundary the shards exchange their journaled warm-pool touches in
-//!   fixed shard order ([`caribou_simcloud::warm::WarmPool::drain_touches`]
-//!   sorts by deployment key) and max-merge them, so container state
-//!   converges across shards with at most one tick of visibility lag.
-//! * **Chunked** (legacy): a fresh cloud per chunk — the pre-shard
-//!   behavior, kept to measure exactly what the chunk-boundary state
-//!   resets cost (every chunk re-pays cold starts it shouldn't).
-//!
-//! Results are bit-identical at any worker count in both modes:
+//! Results are bit-identical at any worker count:
 //!
 //! * arrival times are generated once, up front, from the seeded
 //!   [`ArrivalProcess`] — they are data, not per-worker state;
@@ -35,7 +31,7 @@
 //! vector for tests that validate the sketch against sorted-vector
 //! quantiles.
 //!
-//! Each shard (or chunk) reuses one [`InvocationScratch`] across its
+//! Each shard reuses one [`InvocationScratch`] across its
 //! invocations, so the steady-state data plane allocates only the
 //! per-invocation log records (see `engine.alloc_per_invocation`).
 
@@ -72,18 +68,7 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// never collide the way the old `seed ^ chunk * constant` xor mix could.
 const SALT_ARRIVALS: u64 = 0xA11;
 const SALT_INVOCATION: u64 = 0x117;
-const SALT_CHUNK_CLOUD: u64 = 0xC417;
 const SALT_SHARD_CLOUD: u64 = 0x54A2D;
-
-/// How the harness manages simulation state across chunk boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadgenMode {
-    /// Long-lived shards with tick-boundary warm-state exchange.
-    Persistent,
-    /// A fresh cloud per chunk (legacy): warm pools, KV contents and
-    /// breaker state silently reset every [`CHUNK_INVOCATIONS`].
-    Chunked,
-}
 
 /// Configuration for one sustained-load run.
 #[derive(Debug, Clone)]
@@ -102,8 +87,6 @@ pub struct LoadgenConfig {
     pub arrivals: ArrivalProcess,
     /// Transmission scenario for carbon accounting.
     pub scenario: TransmissionScenario,
-    /// Chunk-boundary state handling.
-    pub mode: LoadgenMode,
     /// Drive cold starts from the stateful warm pool (`true`, default)
     /// or the compute model's probabilistic rate (`false`).
     pub warm_pool: bool,
@@ -123,7 +106,6 @@ impl Default for LoadgenConfig {
             shards: DEFAULT_SHARDS,
             arrivals: ArrivalProcess::Poisson { rate_per_s: 100.0 },
             scenario: TransmissionScenario::BEST,
-            mode: LoadgenMode::Persistent,
             warm_pool: true,
             keep_alive_s: DEFAULT_KEEP_ALIVE_S,
             capture_latencies: false,
@@ -162,7 +144,7 @@ pub struct LoadReport {
     pub scratch_allocs: u64,
     /// Chunks executed.
     pub chunks: u64,
-    /// Persistent shards used (1 per chunk in chunked mode).
+    /// Persistent shards used (the configured count, capped at `chunks`).
     pub shards: u64,
     /// Worker-pool statistics accumulated over all rounds.
     pub pool: PoolStats,
@@ -200,7 +182,7 @@ impl LoadReport {
 }
 
 /// One chunk's fold-ready output, plus the warm touches it journaled
-/// (persistent mode only) for the tick-boundary exchange.
+/// for the tick-boundary exchange.
 #[derive(Debug, Default)]
 struct ChunkOut {
     sketch: QuantileSketch,
@@ -358,9 +340,7 @@ pub fn run_loadgen(bench: &Benchmark, config: &LoadgenConfig) -> Result<LoadRepo
     };
 
     // Arrivals stream from one seeded generator: data, not per-worker
-    // state. Persistent mode pulls them one round at a time (O(round)
-    // memory); chunked mode materializes all N up front, which is part
-    // of why it doesn't scale.
+    // state, pulled one round at a time (O(round) memory).
     let gen = config
         .arrivals
         .stream(SeedSplitter::new(config.seed).absorb(SALT_ARRIVALS).rng());
@@ -371,10 +351,7 @@ pub fn run_loadgen(bench: &Benchmark, config: &LoadgenConfig) -> Result<LoadRepo
         plan: &plan,
         config,
     };
-    match config.mode {
-        LoadgenMode::Persistent => run_persistent(&ctx, gen, chunks, &mut report),
-        LoadgenMode::Chunked => run_chunked(&ctx, gen, chunks, &mut report),
-    }
+    run_persistent(&ctx, gen, chunks, &mut report);
 
     if caribou_telemetry::is_enabled() {
         caribou_telemetry::count("loadgen.invocations", report.invocations());
@@ -386,7 +363,7 @@ pub fn run_loadgen(bench: &Benchmark, config: &LoadgenConfig) -> Result<LoadRepo
     Ok(report)
 }
 
-/// Persistent mode: rounds of chunks over long-lived shards with a
+/// Rounds of chunks over long-lived shards with a
 /// deterministic warm-touch exchange at every round (tick) boundary.
 fn run_persistent(ctx: &RunCtx<'_>, mut gen: ArrivalGen, chunks: usize, report: &mut LoadReport) {
     let config = ctx.config;
@@ -478,41 +455,6 @@ fn run_persistent(ctx: &RunCtx<'_>, mut gen: ArrivalGen, chunks: usize, report: 
     }
 }
 
-/// Chunked (legacy) mode: a fresh cloud per chunk. Kept so the cost of
-/// the chunk-boundary state resets stays measurable.
-fn run_chunked(ctx: &RunCtx<'_>, mut gen: ArrivalGen, chunks: usize, report: &mut LoadReport) {
-    let config = ctx.config;
-    let n = config.invocations;
-    report.shards = chunks as u64;
-    let mut arrivals = Vec::with_capacity(n);
-    gen.fill(&mut arrivals, n);
-    report.span_s = arrivals.last().copied().unwrap_or(0.0);
-    let arrivals = &arrivals;
-    let (outs, stats) = pool::map_indexed(config.workers, chunks, |chunk| {
-        let lo = chunk * CHUNK_INVOCATIONS;
-        let hi = (lo + CHUNK_INVOCATIONS).min(n);
-        let seed = SeedSplitter::new(config.seed)
-            .absorb(SALT_CHUNK_CLOUD)
-            .absorb(chunk as u64)
-            .seed();
-        let mut cloud = SimCloud::aws(seed);
-        ctx.engine.provision(&mut cloud, ctx.app, ctx.plan);
-        if config.warm_pool {
-            // The warm pool starts empty every chunk — this is the state
-            // reset the persistent mode exists to remove.
-            cloud.warm = WarmPool::enabled(config.keep_alive_s);
-        }
-        let mut scratch = InvocationScratch::new();
-        let mut out = run_range(ctx, &mut cloud, &mut scratch, &arrivals[lo..hi], lo);
-        out.scratch_allocs = scratch.allocs();
-        out
-    });
-    accumulate_pool_stats(&mut report.pool, stats);
-    for out in outs {
-        fold(report, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,19 +522,5 @@ mod tests {
         // The pooled engine path ran: warm steady state allocates only the
         // caller-owned log records.
         assert_eq!(finished.recorder.gauges["engine.alloc_per_invocation"], 2.0);
-    }
-
-    #[test]
-    fn chunked_mode_still_merges_deterministically() {
-        let bench = text2speech_censoring(InputSize::Small);
-        let mk = |workers| LoadgenConfig {
-            mode: LoadgenMode::Chunked,
-            ..config(300, workers)
-        };
-        let a = run_loadgen(&bench, &mk(1)).unwrap();
-        let b = run_loadgen(&bench, &mk(4)).unwrap();
-        assert_eq!(a.cost_usd.to_bits(), b.cost_usd.to_bits());
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.cold_starts, b.cold_starts);
     }
 }

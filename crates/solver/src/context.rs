@@ -55,16 +55,12 @@ pub struct SolveOutcome {
 }
 
 impl<S: CarbonDataSource, M: StageModels> SolverContext<'_, S, M> {
-    /// Evaluates a plan at an hour.
-    pub fn evaluate(&self, plan: &DeploymentPlan, hour: f64, rng: &mut Pcg32) -> EstimateSummary {
-        let mut scratch = EstimateScratch::new();
-        self.evaluate_with_scratch(plan, hour, rng, &mut scratch)
-    }
-
-    /// Evaluates a plan at an hour, reusing caller-owned estimator
-    /// scratch. Bit-identical to [`SolverContext::evaluate`]; the
-    /// [`EvalEngine`](crate::engine::EvalEngine) pools scratch per worker
-    /// so cache misses stop re-allocating node-state columns.
+    /// Evaluates a plan at an hour on the caller's Monte Carlo stream,
+    /// reusing caller-owned estimator scratch (scratch never changes the
+    /// result). Solvers go through
+    /// [`EvalEngine::evaluate`](crate::engine::EvalEngine::evaluate),
+    /// which derives the stream, caches the summary and pools scratch per
+    /// worker; this uncached form is the oracle tests check it against.
     pub fn evaluate_with_scratch(
         &self,
         plan: &DeploymentPlan,

@@ -71,42 +71,21 @@ impl HbssSolver {
         Self::default()
     }
 
-    /// Runs HBSS for the deployment at a given hour.
-    pub fn solve<S: CarbonDataSource, M: StageModels>(
-        &self,
-        ctx: &SolverContext<'_, S, M>,
-        hour: f64,
-        rng: &mut Pcg32,
-    ) -> SolveOutcome {
-        self.solve_impl(ctx, hour, rng, None)
-    }
-
-    /// Runs HBSS with evaluations routed through an [`EvalEngine`]: each
-    /// candidate's Monte Carlo stream derives from the engine's solve
-    /// seed instead of consuming the walk generator, and repeated
-    /// candidates are cache lookups.
+    /// Runs HBSS for the deployment at a given hour, with every candidate
+    /// evaluated through an [`EvalEngine`].
     ///
-    /// Two behavioural differences from [`solve`](Self::solve): duplicate
-    /// candidates re-enter the acceptance step (closer to the paper's
-    /// Alg. 1, which has no dedup — affordable now that re-evaluation is
-    /// a lookup), and the result depends only on `(params, ctx, hour,
-    /// rng seed, engine seed)` — never on the engine's worker count.
+    /// The walk generator `rng` drives only mutation and acceptance; each
+    /// candidate's Monte Carlo stream derives from the engine's solve seed,
+    /// so repeated candidates are cache lookups and re-enter the
+    /// acceptance step like in the paper's Alg. 1, which has no dedup.
+    /// The result depends only on `(params, ctx, hour, rng seed, engine
+    /// seed)` — never on the engine's worker count.
     pub fn solve_with<S: CarbonDataSource, M: StageModels>(
         &self,
         engine: &EvalEngine,
         ctx: &SolverContext<'_, S, M>,
         hour: f64,
         rng: &mut Pcg32,
-    ) -> SolveOutcome {
-        self.solve_impl(ctx, hour, rng, Some(engine))
-    }
-
-    fn solve_impl<S: CarbonDataSource, M: StageModels>(
-        &self,
-        ctx: &SolverContext<'_, S, M>,
-        hour: f64,
-        rng: &mut Pcg32,
-        engine: Option<&EvalEngine>,
     ) -> SolveOutcome {
         let telemetry = caribou_telemetry::is_enabled();
         let _solve_span = telemetry.then(|| caribou_telemetry::wall_span("solver", "hbss.solve"));
@@ -139,10 +118,7 @@ impl HbssSolver {
             .collect();
 
         let home_plan = ctx.home_plan();
-        let home_estimate = match engine {
-            Some(e) => e.evaluate(ctx, &home_plan, hour),
-            None => ctx.evaluate(&home_plan, hour, rng),
-        };
+        let home_estimate = engine.evaluate(ctx, &home_plan, hour);
         let mut current_plan = home_plan.clone();
         let mut current_metric = ctx.metric_of(&home_estimate);
         let mut gamma = p.gamma;
@@ -162,16 +138,7 @@ impl HbssSolver {
             let nd = self.gen_new_deployment(&current_plan, &ranked, p.beta, rng);
             i += 1;
             let first_visit = seen.insert(nd.assignment().to_vec());
-            // Without an engine, re-evaluating a duplicate would burn a
-            // full Monte Carlo run; with one it's a cache hit, so the
-            // duplicate re-enters acceptance like in the paper's Alg. 1.
-            if !first_visit && engine.is_none() {
-                continue;
-            }
-            let estimate = match engine {
-                Some(e) => e.evaluate(ctx, &nd, hour),
-                None => ctx.evaluate(&nd, hour, rng),
-            };
+            let estimate = engine.evaluate(ctx, &nd, hour);
             if first_visit {
                 evaluated += 1;
             }
@@ -216,9 +183,7 @@ impl HbssSolver {
             caribou_telemetry::gauge("solver.gamma", gamma);
             caribou_telemetry::event("solver.solve", format!("h{}", hour as u64), i as f64);
         }
-        if let Some(e) = engine {
-            e.flush_telemetry();
-        }
+        engine.flush_telemetry();
 
         feasible.sort_by(|a, b| a.1.total_cmp(&b.1));
         SolveOutcome {
@@ -296,6 +261,7 @@ mod tests {
 
     struct Fx {
         cat: RegionCatalog,
+        home: RegionId,
         pricing: PricingCatalog,
         runtime: LambdaRuntime,
         latency: LatencyModel,
@@ -320,6 +286,7 @@ mod tests {
             carbon.insert(id, CarbonSeries::new(0, vec![v; 24]));
         }
         Fx {
+            home: cat.id_of("us-east-1").unwrap(),
             cat,
             pricing,
             runtime,
@@ -328,7 +295,16 @@ mod tests {
         }
     }
 
-    fn compute_heavy_workflow() -> (caribou_model::WorkflowDag, caribou_model::WorkflowProfile) {
+    /// Runs one HBSS walk over a two-node compute-heavy workflow (5 s then
+    /// 10 s, tiny payloads) with node `i` restricted to `permitted[i]`, on
+    /// a private engine seeded like the walk.
+    fn solve(
+        fx: &Fx,
+        permitted: &[Vec<RegionId>],
+        tolerances: Tolerances,
+        max_samples: usize,
+        seed: u64,
+    ) -> SolveOutcome {
         let mut wf = Workflow::new("heavy", "0.1");
         let a = wf
             .serverless_function("A")
@@ -342,17 +318,6 @@ mod tests {
             .payload(DistSpec::Constant { value: 50_000.0 });
         wf.set_input(DistSpec::Constant { value: 10_000.0 });
         let (dag, profile, _) = wf.extract().unwrap();
-        (dag, profile)
-    }
-
-    #[test]
-    fn hbss_offloads_compute_heavy_workflow_to_clean_region() {
-        let fx = fx();
-        let (dag, profile) = compute_heavy_workflow();
-        let home = fx.cat.id_of("us-east-1").unwrap();
-        let ca = fx.cat.id_of("ca-central-1").unwrap();
-        let universe = fx.cat.evaluation_regions();
-        let permitted: Vec<Vec<_>> = vec![universe.clone(); 2];
         let models = DefaultModels {
             profile: &profile,
             runtime: &fx.runtime,
@@ -362,25 +327,39 @@ mod tests {
         let ctx = SolverContext {
             dag: &dag,
             profile: &profile,
-            permitted: &permitted,
-            home,
+            permitted,
+            home: fx.home,
             objective: Objective::Carbon,
-            tolerances: Tolerances {
-                latency: 0.5, // generous: compute-heavy, latency-tolerant
-                cost: 0.5,
-                carbon: f64::INFINITY,
-            },
+            tolerances,
             carbon_source: &fx.carbon,
             carbon_model: CarbonModel::new(TransmissionScenario::BEST),
             cost_model: CostModel::new(&fx.pricing),
             models: &models,
             mc_config: MonteCarloConfig {
                 batch: 100,
-                max_samples: 400,
+                max_samples,
                 cv_threshold: 0.05,
             },
         };
-        let outcome = HbssSolver::new().solve(&ctx, 0.5, &mut Pcg32::seed(1));
+        HbssSolver::new().solve_with(&EvalEngine::new(seed, 1), &ctx, 0.5, &mut Pcg32::seed(seed))
+    }
+
+    /// Latency and cost tolerances of `tol`, carbon unbounded.
+    fn tolerant(tol: f64) -> Tolerances {
+        Tolerances {
+            latency: tol,
+            cost: tol,
+            carbon: f64::INFINITY,
+        }
+    }
+
+    #[test]
+    fn hbss_offloads_compute_heavy_workflow_to_clean_region() {
+        let fx = fx();
+        let ca = fx.cat.id_of("ca-central-1").unwrap();
+        let permitted = vec![fx.cat.evaluation_regions(); 2];
+        // Generous tolerance: compute-heavy, latency-tolerant.
+        let outcome = solve(&fx, &permitted, tolerant(0.5), 400, 1);
         // ca-central-1 is ~12x cleaner; a 15 s compute-heavy workflow with
         // tiny payloads must end up there.
         assert_eq!(outcome.best.region_of(NodeId(0)), ca);
@@ -396,77 +375,21 @@ mod tests {
     #[test]
     fn tight_latency_tolerance_keeps_home() {
         let fx = fx();
-        let (dag, profile) = compute_heavy_workflow();
-        let home = fx.cat.id_of("us-east-1").unwrap();
-        let universe = fx.cat.evaluation_regions();
-        let permitted: Vec<Vec<_>> = vec![universe; 2];
-        let models = DefaultModels {
-            profile: &profile,
-            runtime: &fx.runtime,
-            latency: &fx.latency,
-            orchestrator: Orchestrator::Caribou,
-        };
-        let ctx = SolverContext {
-            dag: &dag,
-            profile: &profile,
-            permitted: &permitted,
-            home,
-            objective: Objective::Carbon,
-            tolerances: Tolerances {
-                latency: 0.0,
-                cost: 0.0,
-                carbon: f64::INFINITY,
-            },
-            carbon_source: &fx.carbon,
-            carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-            cost_model: CostModel::new(&fx.pricing),
-            models: &models,
-            mc_config: MonteCarloConfig {
-                batch: 100,
-                max_samples: 400,
-                cv_threshold: 0.05,
-            },
-        };
-        let outcome = HbssSolver::new().solve(&ctx, 0.5, &mut Pcg32::seed(2));
+        let permitted = vec![fx.cat.evaluation_regions(); 2];
+        let outcome = solve(&fx, &permitted, tolerant(0.0), 400, 2);
         // Zero tolerance on latency and cost: nothing beats home (offload
         // adds cross-region latency and cost premium); the solver must
         // fall back to the home deployment.
         assert!(outcome.best.is_single_region());
-        assert_eq!(outcome.best.region_of(NodeId(0)), home);
+        assert_eq!(outcome.best.region_of(NodeId(0)), fx.home);
     }
 
     #[test]
     fn deterministic_given_seed() {
         let fx = fx();
-        let (dag, profile) = compute_heavy_workflow();
-        let home = fx.cat.id_of("us-east-1").unwrap();
-        let universe = fx.cat.evaluation_regions();
-        let permitted: Vec<Vec<_>> = vec![universe; 2];
-        let models = DefaultModels {
-            profile: &profile,
-            runtime: &fx.runtime,
-            latency: &fx.latency,
-            orchestrator: Orchestrator::Caribou,
-        };
-        let make_ctx = || SolverContext {
-            dag: &dag,
-            profile: &profile,
-            permitted: &permitted,
-            home,
-            objective: Objective::Carbon,
-            tolerances: Tolerances::default(),
-            carbon_source: &fx.carbon,
-            carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-            cost_model: CostModel::new(&fx.pricing),
-            models: &models,
-            mc_config: MonteCarloConfig {
-                batch: 100,
-                max_samples: 200,
-                cv_threshold: 0.05,
-            },
-        };
-        let a = HbssSolver::new().solve(&make_ctx(), 0.5, &mut Pcg32::seed(9));
-        let b = HbssSolver::new().solve(&make_ctx(), 0.5, &mut Pcg32::seed(9));
+        let permitted = vec![fx.cat.evaluation_regions(); 2];
+        let a = solve(&fx, &permitted, Tolerances::default(), 200, 9);
+        let b = solve(&fx, &permitted, Tolerances::default(), 200, 9);
         assert_eq!(a.best.assignment(), b.best.assignment());
         assert_eq!(a.evaluated, b.evaluated);
     }
@@ -474,39 +397,11 @@ mod tests {
     #[test]
     fn respects_permitted_regions() {
         let fx = fx();
-        let (dag, profile) = compute_heavy_workflow();
-        let home = fx.cat.id_of("us-east-1").unwrap();
+        let home = fx.home;
         let usw2 = fx.cat.id_of("us-west-2").unwrap();
         // Node 0 pinned to home; node 1 may go to us-west-2 only.
         let permitted = vec![vec![home], vec![home, usw2]];
-        let models = DefaultModels {
-            profile: &profile,
-            runtime: &fx.runtime,
-            latency: &fx.latency,
-            orchestrator: Orchestrator::Caribou,
-        };
-        let ctx = SolverContext {
-            dag: &dag,
-            profile: &profile,
-            permitted: &permitted,
-            home,
-            objective: Objective::Carbon,
-            tolerances: Tolerances {
-                latency: 1.0,
-                cost: 1.0,
-                carbon: f64::INFINITY,
-            },
-            carbon_source: &fx.carbon,
-            carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-            cost_model: CostModel::new(&fx.pricing),
-            models: &models,
-            mc_config: MonteCarloConfig {
-                batch: 100,
-                max_samples: 200,
-                cv_threshold: 0.05,
-            },
-        };
-        let outcome = HbssSolver::new().solve(&ctx, 0.5, &mut Pcg32::seed(3));
+        let outcome = solve(&fx, &permitted, tolerant(1.0), 200, 3);
         assert_eq!(outcome.best.region_of(NodeId(0)), home);
         let r1 = outcome.best.region_of(NodeId(1));
         assert!(r1 == home || r1 == usw2);
@@ -517,38 +412,8 @@ mod tests {
     #[test]
     fn feasible_list_sorted_best_first() {
         let fx = fx();
-        let (dag, profile) = compute_heavy_workflow();
-        let home = fx.cat.id_of("us-east-1").unwrap();
-        let universe = fx.cat.evaluation_regions();
-        let permitted: Vec<Vec<_>> = vec![universe; 2];
-        let models = DefaultModels {
-            profile: &profile,
-            runtime: &fx.runtime,
-            latency: &fx.latency,
-            orchestrator: Orchestrator::Caribou,
-        };
-        let ctx = SolverContext {
-            dag: &dag,
-            profile: &profile,
-            permitted: &permitted,
-            home,
-            objective: Objective::Carbon,
-            tolerances: Tolerances {
-                latency: 0.5,
-                cost: 0.5,
-                carbon: f64::INFINITY,
-            },
-            carbon_source: &fx.carbon,
-            carbon_model: CarbonModel::new(TransmissionScenario::BEST),
-            cost_model: CostModel::new(&fx.pricing),
-            models: &models,
-            mc_config: MonteCarloConfig {
-                batch: 100,
-                max_samples: 200,
-                cv_threshold: 0.05,
-            },
-        };
-        let outcome = HbssSolver::new().solve(&ctx, 0.5, &mut Pcg32::seed(4));
+        let permitted = vec![fx.cat.evaluation_regions(); 2];
+        let outcome = solve(&fx, &permitted, tolerant(0.5), 200, 4);
         assert!(outcome.feasible.len() >= 2);
         for w in outcome.feasible.windows(2) {
             assert!(w[0].1 <= w[1].1);

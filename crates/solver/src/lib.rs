@@ -17,8 +17,8 @@
 //! plans are generated per solve — one for each hour, given sufficient
 //! carbon budget").
 //!
-//! [`engine`] provides the deterministic parallel evaluation layer all
-//! three solvers can route through: seed-split per-candidate RNG streams,
+//! [`engine`] provides the deterministic parallel evaluation layer every
+//! solver evaluates through: seed-split per-candidate RNG streams,
 //! a plan-keyed estimate cache, and a scoped [`pool`] of worker threads —
 //! with solve results bit-identical at any worker count.
 

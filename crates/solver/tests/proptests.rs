@@ -16,6 +16,7 @@ use caribou_simcloud::orchestration::Orchestrator;
 use caribou_simcloud::pricing::PricingCatalog;
 use caribou_solver::coarse;
 use caribou_solver::context::SolverContext;
+use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
 use proptest::prelude::*;
 
@@ -129,7 +130,8 @@ proptest! {
                 cv_threshold: 0.15,
             },
         };
-        let outcome = HbssSolver::new().solve(&ctx, 0.5, &mut Pcg32::seed(seed ^ 0x22));
+        let engine = EvalEngine::new(seed, 1);
+        let outcome = HbssSolver::new().solve_with(&engine, &ctx, 0.5, &mut Pcg32::seed(seed ^ 0x22));
         for node in dag.all_nodes() {
             prop_assert!(
                 permitted[node.index()].contains(&outcome.best.region_of(node)),
@@ -177,7 +179,7 @@ proptest! {
                 cv_threshold: 0.15,
             },
         };
-        let outcome = coarse::solve(&ctx, 0.5, &mut Pcg32::seed(seed));
+        let outcome = coarse::solve_with(&EvalEngine::new(seed, 1), &ctx, 0.5);
         prop_assert!(outcome.best.is_single_region());
         prop_assert_eq!(outcome.best.region_of(caribou_model::dag::NodeId(0)), home);
         prop_assert_eq!(outcome.evaluated, 1);

@@ -21,6 +21,7 @@ use caribou_model::rng::Pcg32;
 use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::orchestration::Orchestrator;
 use caribou_solver::context::SolverContext;
+use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
 use caribou_workloads::benchmarks::{text2speech_censoring, InputSize};
 
@@ -70,7 +71,8 @@ fn main() {
         models: &models,
         mc_config: MonteCarloConfig::default(),
     };
-    let outcome = HbssSolver::new().solve(&ctx, 12.5, &mut Pcg32::seed(7));
+    let outcome =
+        HbssSolver::new().solve_with(&EvalEngine::new(7, 1), &ctx, 12.5, &mut Pcg32::seed(7));
 
     println!("fine-grained plan under the per-stage compliance constraint:");
     for node in bench.dag.all_nodes() {

@@ -22,6 +22,7 @@ use caribou_model::rng::Pcg32;
 use caribou_simcloud::cloud::SimCloud;
 use caribou_simcloud::orchestration::Orchestrator;
 use caribou_solver::context::SolverContext;
+use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
 use caribou_solver::{coarse, exhaustive};
 
@@ -134,10 +135,13 @@ fn main() {
         home_est.carbon.mean, home_est.latency.mean, home_est.cost.mean, home_est.samples
     );
 
-    // Solve with HBSS and cross-check against the exhaustive optimum.
-    let hbss = HbssSolver::new().solve(&ctx, 12.5, &mut Pcg32::seed(2));
-    let exact = exhaustive::solve(&ctx, 12.5, &mut Pcg32::seed(3)).expect("small space");
-    let single = coarse::solve(&ctx, 12.5, &mut Pcg32::seed(4));
+    // Solve with HBSS and cross-check against the exhaustive optimum. All
+    // three solvers share one evaluation engine, so a plan they both find
+    // gets the same estimate.
+    let engine = EvalEngine::new(2, 1);
+    let hbss = HbssSolver::new().solve_with(&engine, &ctx, 12.5, &mut Pcg32::seed(2));
+    let exact = exhaustive::solve_with(&engine, &ctx, 12.5).expect("small space");
+    let single = coarse::solve_with(&engine, &ctx, 12.5);
     println!(
         "HBSS best:        {:.3e} g after {} evaluations",
         ctx.metric_of(&hbss.best_estimate),

@@ -25,20 +25,22 @@ if [[ "${1:-}" != "--fast" ]]; then
     cargo run -q --release -p caribou-core --bin caribou -- \
         chaos --seed 42 --requests 200 --duration-s 7200
 
-    # Deterministic solver smoke: the 24-hour schedule printed by
-    # `caribou plan --hourly` must be bit-identical whether the solver
-    # evaluation engine fans candidates across 1 or 4 workers.
+    # Deterministic solver smoke: the single-hour plan and the 24-hour
+    # schedule printed by `caribou plan` must be bit-identical whether the
+    # solver evaluation engine fans candidates across 1 or 4 workers.
     echo "==> caribou solver smoke (1 vs 4 workers)"
-    cargo run -q --release -p caribou-core --bin caribou -- \
-        plan dna --hourly --workers 1 >/tmp/caribou-solve-1w.txt
-    cargo run -q --release -p caribou-core --bin caribou -- \
-        plan dna --hourly --workers 4 >/tmp/caribou-solve-4w.txt
-    diff /tmp/caribou-solve-1w.txt /tmp/caribou-solve-4w.txt
+    for mode in "" --hourly; do
+        cargo run -q --release -p caribou-core --bin caribou -- \
+            plan dna $mode --workers 1 >/tmp/caribou-solve-1w.txt
+        cargo run -q --release -p caribou-core --bin caribou -- \
+            plan dna $mode --workers 4 >/tmp/caribou-solve-4w.txt
+        diff /tmp/caribou-solve-1w.txt /tmp/caribou-solve-4w.txt
+    done
     rm -f /tmp/caribou-solve-1w.txt /tmp/caribou-solve-4w.txt
 
     # Solver bench guard in --test mode: asserts worker-count-invariant
     # schedules, a warm estimate cache (solver.cache.hit > 0), and — on
-    # machines with >=4 cores — a >=2x 4-worker speedup.
+    # machines with >=4 cores — a >=2x 4-worker speedup over 1 worker.
     echo "==> solver bench guard"
     cargo bench -q -p caribou-bench --bench solver -- --test
 

@@ -5,9 +5,7 @@
 //! one bucket's relative error; and the persistent shards must pay cold
 //! starts exactly once per container, not once per chunk.
 
-use caribou_core::loadgen::{
-    run_loadgen, LoadReport, LoadgenConfig, LoadgenMode, CHUNK_INVOCATIONS,
-};
+use caribou_core::loadgen::{run_loadgen, LoadReport, LoadgenConfig, CHUNK_INVOCATIONS};
 use caribou_telemetry::{Histogram, QuantileSketch, SUB_BUCKETS};
 use caribou_workloads::arrivals::ArrivalProcess;
 use caribou_workloads::benchmarks::{image_processing, text2speech_censoring, InputSize};
@@ -192,86 +190,34 @@ fn report_sketch_matches_captured_latencies() {
 }
 
 /// Hand-computed cold-start schedule: with an effectively infinite
-/// keep-alive every container goes cold exactly once per simulation
-/// state that has to rebuild it. Persistent shards pay `shards × nodes`
-/// cold starts for the whole run; the legacy chunked mode re-pays
-/// `nodes` at every chunk boundary — the exact bug this PR removes.
+/// keep-alive every container goes cold exactly once per persistent shard
+/// that has to warm it, no matter how many chunks the run spans.
 #[test]
 fn persistent_shards_pay_cold_starts_once_not_per_chunk() {
     let bench = text2speech_censoring(InputSize::Small);
     let nodes = bench.dag.node_count() as u64;
-    let n = CHUNK_INVOCATIONS * 2; // exactly 2 chunks
-    let arrivals = ArrivalProcess::Poisson { rate_per_s: 200.0 };
-    let base = LoadgenConfig {
-        keep_alive_s: 1e9,
-        ..config(n, 11, 2, arrivals)
-    };
-
-    // One persistent shard: both chunks share one warm pool — each
-    // container is cold exactly once in the whole run.
-    let one = run_loadgen(
-        &bench,
-        &LoadgenConfig {
-            shards: 1,
-            ..base.clone()
-        },
-    )
-    .unwrap();
-    assert_eq!(one.cold_starts, nodes);
-
-    // Two persistent shards: each shard's round-0 chunk warms its own
+    // (chunks, shards, seed). One shard keeps one warm pool across every
+    // chunk. With two shards, each shard's round-0 chunk warms its own
     // pool before the first exchange, so each pays `nodes` once.
-    let two = run_loadgen(
-        &bench,
-        &LoadgenConfig {
-            shards: 2,
-            ..base.clone()
-        },
-    )
-    .unwrap();
-    assert_eq!(two.cold_starts, 2 * nodes);
-
-    // Chunked mode: the warm pool resets at every chunk boundary, so
-    // every chunk re-pays the full cold-start bill.
-    let chunked = run_loadgen(
-        &bench,
-        &LoadgenConfig {
-            mode: LoadgenMode::Chunked,
-            ..base
-        },
-    )
-    .unwrap();
-    assert_eq!(chunked.cold_starts, 2 * nodes);
-    // Totals agree: every node of every invocation executed.
-    assert_eq!(one.cold_starts + one.warm_starts, n as u64 * nodes);
-    assert_eq!(chunked.cold_starts + chunked.warm_starts, n as u64 * nodes);
-}
-
-/// With a huge keep-alive and more chunks than shards, chunked mode's
-/// cold-start rate scales with the chunk count while persistent mode's
-/// stays at one bill per shard.
-#[test]
-fn chunk_resets_inflate_cold_start_rate() {
-    let bench = text2speech_censoring(InputSize::Small);
-    let nodes = bench.dag.node_count() as u64;
-    let n = CHUNK_INVOCATIONS * 3; // 3 chunks
-    let base = LoadgenConfig {
-        shards: 1,
-        keep_alive_s: 1e9,
-        ..config(n, 13, 2, ArrivalProcess::Poisson { rate_per_s: 200.0 })
-    };
-    let persistent = run_loadgen(&bench, &base).unwrap();
-    let chunked = run_loadgen(
-        &bench,
-        &LoadgenConfig {
-            mode: LoadgenMode::Chunked,
-            ..base
-        },
-    )
-    .unwrap();
-    assert_eq!(persistent.cold_starts, nodes);
-    assert_eq!(chunked.cold_starts, 3 * nodes);
-    assert!(chunked.cold_start_rate() > persistent.cold_start_rate() * 2.9);
+    for (chunks, shards, seed) in [(2, 1, 11), (3, 1, 13), (2, 2, 11)] {
+        let n = CHUNK_INVOCATIONS * chunks;
+        let report = run_loadgen(
+            &bench,
+            &LoadgenConfig {
+                shards,
+                keep_alive_s: 1e9,
+                ..config(n, seed, 2, ArrivalProcess::Poisson { rate_per_s: 200.0 })
+            },
+        )
+        .unwrap();
+        assert_eq!(
+            report.cold_starts,
+            shards as u64 * nodes,
+            "{chunks} chunks over {shards} shard(s)"
+        );
+        // Every node of every invocation executed.
+        assert_eq!(report.cold_starts + report.warm_starts, n as u64 * nodes);
+    }
 }
 
 /// Arrival times are part of the contract: a different seed must change

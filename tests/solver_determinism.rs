@@ -8,7 +8,7 @@ use caribou_carbon::source::TableSource;
 use caribou_metrics::carbonmodel::{CarbonModel, TransmissionScenario};
 use caribou_metrics::costmodel::CostModel;
 use caribou_metrics::montecarlo::{
-    DefaultModels, MonteCarloConfig, MonteCarloEstimator, MAX_LANES,
+    DefaultModels, EstimateScratch, MonteCarloConfig, MonteCarloEstimator, MAX_LANES,
 };
 use caribou_model::builder::Workflow;
 use caribou_model::constraints::{Objective, Tolerances};
@@ -20,10 +20,11 @@ use caribou_simcloud::compute::LambdaRuntime;
 use caribou_simcloud::latency::LatencyModel;
 use caribou_simcloud::orchestration::Orchestrator;
 use caribou_simcloud::pricing::PricingCatalog;
-use caribou_solver::context::SolverContext;
+use caribou_solver::context::{SolveOutcome, SolverContext};
 use caribou_solver::engine::EvalEngine;
 use caribou_solver::hbss::HbssSolver;
-use caribou_solver::hourly::solve_hourly_with;
+use caribou_solver::hourly::{solve_daily, solve_hourly_with};
+use caribou_solver::{coarse, exhaustive};
 use proptest::prelude::*;
 
 /// Worker counts every invariant is checked across.
@@ -104,11 +105,20 @@ fn with_ctx<R>(f: impl FnOnce(&SolverContext<'_, TableSource, DefaultModels<'_>>
     f(&ctx)
 }
 
+fn assert_same_outcome(a: &SolveOutcome, b: &SolveOutcome) {
+    assert_eq!(a.best.assignment(), b.best.assignment());
+    assert_eq!(a.best_estimate, b.best_estimate);
+    assert_eq!(a.home_estimate, b.home_estimate);
+    assert_eq!(a.evaluated, b.evaluated);
+    assert_eq!(a.feasible, b.feasible);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The HBSS-selected plan and its estimate summary are bit-identical
-    /// at 1, 2 and 8 workers for any (engine seed, walk seed, hour).
+    /// Every solver's selected plan and estimate summaries — HBSS,
+    /// coarse, exhaustive, and the daily solve — are bit-identical at 1, 2
+    /// and 8 workers for any (engine seed, walk seed, hour).
     #[test]
     fn hbss_solve_is_worker_count_invariant(
         engine_seed in any::<u64>(),
@@ -120,15 +130,23 @@ proptest! {
             let solver = HbssSolver::new();
             let solve_at = |workers: usize| {
                 let engine = EvalEngine::new(engine_seed, workers);
-                solver.solve_with(&engine, ctx, hour, &mut Pcg32::seed(walk_seed))
+                let hbss = solver.solve_with(&engine, ctx, hour, &mut Pcg32::seed(walk_seed));
+                let coarse = coarse::solve_with(&engine, ctx, hour);
+                let exhaustive = exhaustive::solve_with(&engine, ctx, hour).expect("9 plans");
+                let day_engine = EvalEngine::new(engine_seed, workers);
+                let daily = solve_daily(
+                    &day_engine, &solver, ctx, 0.0, 0.0, 86_400.0,
+                    &mut Pcg32::seed(walk_seed),
+                );
+                ([hbss, coarse, exhaustive], daily)
             };
-            let base = solve_at(WORKER_COUNTS[0]);
+            let (base, base_daily) = solve_at(WORKER_COUNTS[0]);
             for &w in &WORKER_COUNTS[1..] {
-                let other = solve_at(w);
-                assert_eq!(base.best.assignment(), other.best.assignment());
-                assert_eq!(base.best_estimate, other.best_estimate);
-                assert_eq!(base.home_estimate, other.home_estimate);
-                assert_eq!(base.evaluated, other.evaluated);
+                let (other, daily) = solve_at(w);
+                for (a, b) in base.iter().zip(&other) {
+                    assert_same_outcome(a, b);
+                }
+                assert_eq!(base_daily, daily);
             }
         });
     }
@@ -180,7 +198,12 @@ proptest! {
             assert_eq!(engine.miss_count(), 1);
             assert_eq!(engine.hit_count(), 1);
             // Fresh run outside the engine, on the same derived stream.
-            let fresh = ctx.evaluate(&plan, hour, &mut engine.eval_rng(&plan, hour));
+            let fresh = ctx.evaluate_with_scratch(
+                &plan,
+                hour,
+                &mut engine.eval_rng(&plan, hour),
+                &mut EstimateScratch::new(),
+            );
             assert_eq!(first, cached);
             assert_eq!(first, fresh);
         });
